@@ -535,7 +535,7 @@ def test_bench_campaign_scaling(benchmark):
     baseline = None
     for workers in (1, 2, 4):
         def run_with_workers(w=workers):
-            return Campaign(config).run(workers=w, parallel=w > 1)
+            return Campaign(config).run(workers=w)
 
         if workers == 4:
             start = time.perf_counter()

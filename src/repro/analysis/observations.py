@@ -1,9 +1,10 @@
 """Programmatic checks of the paper's six observations.
 
 Each observation is expressed as a predicate over aggregated experiment
-results; the integration tests and EXPERIMENTS.md use these to check that
-the *shape* of the paper's findings holds in the reproduction, without
-requiring the absolute numbers to match.
+results; the integration tests (``tests/integration/test_observations.py``)
+use these to check that the *shape* of the paper's findings holds in the
+reproduction, without requiring the absolute numbers to match; the
+paper-vs-measured numbers are in ``README.md`` and ``benchmarks/``.
 """
 
 from dataclasses import dataclass

@@ -3,8 +3,9 @@
 Each module exposes a ``run_*`` function that executes the (possibly
 scaled-down) experiment grid and a ``format_*``/result dataclass that
 renders the same rows or series the paper reports.  The benchmark harness
-in ``benchmarks/`` calls these functions; ``EXPERIMENTS.md`` records the
-paper-vs-measured comparison.
+in ``benchmarks/`` (``test_bench_table4.py`` and siblings) calls these
+functions and prints the paper-vs-measured comparison; ``README.md``
+records it.
 
 Grid sizes default to a scaled-down version of the paper's grid so that a
 full regeneration finishes in minutes on a laptop; pass

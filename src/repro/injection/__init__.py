@@ -5,13 +5,15 @@
 * :mod:`repro.injection.campaign` — sweeps over scenarios, initial
   distances, attack types, strategies and repetitions, with deterministic
   per-run seeding, to regenerate the paper's experiment grids.
-* :mod:`repro.injection.executor` — process-pool execution of campaigns
-  and ad-hoc simulation lists with bit-identical results.
+* :mod:`repro.injection.executor` — :func:`run_simulations`, the
+  list-returning entry point of the one execution route (run cache,
+  supervised executor, lockstep batch or scalar runs, optional process
+  pool) with bit-identical results.
 """
 
 from repro.injection.engine import SimulationConfig, Simulation, run_simulation
-from repro.injection.campaign import CampaignConfig, Campaign, run_campaign
-from repro.injection.executor import ParallelCampaignRunner, run_simulations
+from repro.injection.campaign import CampaignConfig, Campaign
+from repro.injection.executor import run_simulations
 
 __all__ = [
     "SimulationConfig",
@@ -19,7 +21,5 @@ __all__ = [
     "run_simulation",
     "CampaignConfig",
     "Campaign",
-    "run_campaign",
-    "ParallelCampaignRunner",
     "run_simulations",
 ]

@@ -18,6 +18,7 @@ from repro.analysis.metrics import RunResult
 from repro.core.attack_types import AttackType
 from repro.core.strategies import AttackStrategy, strategy_by_name
 from repro.injection.engine import SimulationConfig, run_simulation
+from repro.injection.executor import run_simulations
 from repro.sim.scenarios import INITIAL_DISTANCES, Scenario
 from repro.telemetry import Telemetry
 
@@ -138,6 +139,10 @@ class Campaign:
         strategy = self.strategy_factory() if cell.attack_type is not None else None
         return config, strategy
 
+    def tasks(self) -> List[Tuple[SimulationConfig, Optional[AttackStrategy]]]:
+        """Every grid cell's task, in cell order (fresh strategy instances)."""
+        return [self.cell_task(cell) for cell in self.cells()]
+
     def run_cell(
         self,
         cell: CampaignCell,
@@ -168,11 +173,15 @@ class Campaign:
         quarantined) and the :class:`~repro.resilience.ExecutionReport`
         (retries, pool respawns, degradations, quarantine, sims paid vs
         loaded from the checkpoint and/or the shared run ``cache``).
+        The checkpoint fingerprint covers every cell's task fingerprint
+        (scenario, attack, seed, distance, strategy, driver flag and step
+        budget), so a stale checkpoint from an edited campaign refuses
+        to load.
         """
-        from repro.resilience.supervisor import run_supervised_campaign
+        from repro.resilience.supervisor import run_supervised_simulations
 
-        return run_supervised_campaign(
-            self,
+        return run_supervised_simulations(
+            self.tasks(),
             policy=supervision,
             workers=workers,
             chunk_size=chunk_size,
@@ -188,7 +197,6 @@ class Campaign:
     def run(
         self,
         progress: Optional[Callable[[int, int], None]] = None,
-        parallel: bool = False,
         workers: Optional[int] = None,
         chunk_size: Optional[int] = None,
         batch_size: Optional[int] = None,
@@ -198,127 +206,55 @@ class Campaign:
         telemetry: Optional[Telemetry] = None,
         cache: Optional["RunCache"] = None,
     ) -> List[RunResult]:
-        """Run the whole campaign.
+        """Run the whole campaign through :func:`~repro.injection.executor.run_simulations`.
+
+        Results are bit-identical however the grid is executed, because
+        every cell's seed is derived from ``(master_seed, cell index)``
+        alone.
 
         Args:
             progress: Optional callback ``(completed, total)`` invoked after
-                every run (sequential) or chunk of runs (parallel).
-            parallel: Run on a process pool.  Results are bit-identical to
-                a sequential run because every cell's seed is derived from
-                ``(master_seed, cell index)`` alone.
-            workers: Worker process count; a value > 1 implies
-                ``parallel=True`` (default: one worker per CPU when
-                parallel).
-            chunk_size: Cells per dispatched chunk (parallel only).
+                every run in-process, or every chunk of runs on the pool.
+            workers: Worker process count (> 1 runs the grid on a process
+                pool; default: in-process).
+            chunk_size: Cells per dispatched chunk (default: the whole grid
+                for an in-process lockstep batch without a checkpoint,
+                otherwise about four chunks per worker).
             batch_size: Lockstep batch width (> 1 steps that many runs
                 through the kernel together, amortising the per-step
                 Python dispatch; see :class:`repro.kernel.BatchRunner`).
-                Composes with ``workers``: each pool worker batches the
-                cells of its chunk.  Results are bit-identical either way.
+                Composes with ``workers``: each chunk is one batch.
             supervision: Fault-tolerance policy
                 (:class:`repro.resilience.SupervisionPolicy`): per-chunk
                 timeouts, seeded retry/backoff, dead-worker respawn,
-                quarantine, graceful degradation.  Results stay
-                bit-identical; quarantined cells are withheld from the
-                returned list (see :meth:`run_resilient` for the report).
+                quarantine, graceful degradation.  Quarantined cells are
+                withheld from the returned list (see :meth:`run_resilient`
+                for the report).
             chaos: Worker fault-injection policy (testing only); implies
                 supervision.
             checkpoint_path: Crash-safe checkpoint file; a rerun resumes
                 paying only for unfinished cells.  Implies supervision.
             telemetry: Optional :class:`~repro.telemetry.Telemetry` handle;
-                when given, the campaign records run/CAN/hazard counters
-                (and, sampled, per-stage timings) into it on every
-                execution path — sequential, batched, pooled and
-                supervised views merge to the same deterministic snapshot.
+                records run/CAN/hazard counters, sampled per-stage timings
+                and the execution report, with the same deterministic
+                snapshot however the grid was executed.
             cache: Optional shared run cache
                 (:class:`repro.service.RunCache`): every cell the cache
                 already holds is served without simulating, and fresh
-                results are stored back under their content fingerprints
-                — the returned list is bit-identical to an uncached run.
-                With ``cache`` and ``workers > 1`` the cells are pickled
-                to the pool as tasks, so the strategy factory must
-                produce picklable strategies on that path.
+                results are stored back under their content fingerprints.
         """
-        if supervision is not None or chaos is not None or checkpoint_path is not None:
-            return self.run_resilient(
-                progress=progress,
+        tasks = self.tasks()
+        span = nullcontext() if telemetry is None else telemetry.span("campaign", runs=len(tasks))
+        with span:
+            return run_simulations(
+                tasks,
                 workers=workers,
                 chunk_size=chunk_size,
+                progress=progress,
                 batch_size=batch_size,
                 supervision=supervision,
                 chaos=chaos,
                 checkpoint_path=checkpoint_path,
                 telemetry=telemetry,
                 cache=cache,
-            ).completed_results
-        total = self.config.total_runs
-
-        def campaign_span(mode: str):
-            if telemetry is None:
-                return nullcontext()
-            return telemetry.span("campaign", mode=mode, runs=total)
-
-        if cache is not None:
-            from repro.injection.executor import default_worker_count, run_simulations
-
-            if (parallel or workers is not None) and workers is None:
-                workers = default_worker_count()
-            tasks = [self.cell_task(cell) for cell in self.cells()]
-            with campaign_span("cached"):
-                return run_simulations(
-                    tasks,
-                    workers=workers,
-                    chunk_size=chunk_size,
-                    progress=progress,
-                    batch_size=batch_size,
-                    telemetry=telemetry,
-                    cache=cache,
-                )
-        if parallel or (workers is not None and workers > 1):
-            from repro.injection.executor import ParallelCampaignRunner
-
-            runner = ParallelCampaignRunner(
-                self,
-                workers=workers,
-                chunk_size=chunk_size,
-                batch_size=batch_size,
-                telemetry=telemetry,
             )
-            with campaign_span("parallel"):
-                return runner.run(progress=progress)
-        if batch_size is not None and batch_size > 1:
-            from repro.kernel.batch import run_batched
-
-            tasks = [self.cell_task(cell) for cell in self.cells()]
-            with campaign_span("batched"):
-                return run_batched(
-                    tasks, batch_size=batch_size, progress=progress, telemetry=telemetry
-                )
-        results: List[RunResult] = []
-        with campaign_span("sequential"):
-            for index, cell in enumerate(self.cells(), start=1):
-                results.append(self.run_cell(cell, telemetry=telemetry))
-                if progress is not None:
-                    progress(index, total)
-        return results
-
-
-def run_campaign(
-    config: CampaignConfig,
-    strategy_factory: Optional[StrategyFactory] = None,
-    workers: Optional[int] = None,
-    batch_size: Optional[int] = None,
-    supervision: Optional["SupervisionPolicy"] = None,
-    checkpoint_path: Optional[str] = None,
-    telemetry: Optional[Telemetry] = None,
-    cache: Optional["RunCache"] = None,
-) -> List[RunResult]:
-    """Convenience wrapper: build and run a campaign."""
-    return Campaign(config, strategy_factory).run(
-        workers=workers,
-        batch_size=batch_size,
-        supervision=supervision,
-        checkpoint_path=checkpoint_path,
-        telemetry=telemetry,
-        cache=cache,
-    )

@@ -4,12 +4,13 @@ A system whose subject is fault injection should itself tolerate faults.
 This package supervises the execution layer so that a hung, crashed or
 lying worker process no longer kills a campaign:
 
-* :mod:`repro.resilience.supervisor` — supervised dispatch over the
-  process pool: per-chunk wall-clock timeouts, bounded seeded
-  retry/backoff, dead-worker detection with pool respawn, poison-task
-  quarantine (bisection down to the offending task), and graceful
-  degradation (parallel → sequential, batched → scalar) with
-  bit-identical results;
+* :mod:`repro.resilience.supervisor` — the one execution route
+  (:func:`execute_tasks`: checkpoint, run cache, then the
+  :class:`SupervisedExecutor`) and its supervision: per-chunk wall-clock
+  timeouts, bounded seeded retry/backoff, dead-worker detection with
+  pool respawn, poison-task quarantine (bisection down to the offending
+  task), and graceful degradation (parallel → sequential, batched →
+  scalar) with bit-identical results;
 * :mod:`repro.resilience.checkpoint` — crash-safe campaign
   checkpointing (atomic write-rename, fingerprint-validated), so an
   interrupted campaign resumes paying only for unfinished runs;
@@ -31,7 +32,7 @@ from repro.resilience.checkpoint import (
     checkpoint_slug,
     fsync_directory,
 )
-from repro.resilience.errors import TaskExecutionError, cell_fingerprint, task_fingerprint
+from repro.resilience.errors import TaskExecutionError, task_fingerprint
 from repro.resilience.supervisor import (
     ExecutionReport,
     QuarantinedTask,
@@ -39,7 +40,7 @@ from repro.resilience.supervisor import (
     SupervisedExecutor,
     SupervisedOutcome,
     SupervisionPolicy,
-    run_supervised_campaign,
+    execute_tasks,
     run_supervised_simulations,
 )
 
@@ -48,17 +49,16 @@ __all__ = [
     "atomic_write_json",
     "fsync_directory",
     "CampaignCheckpoint",
-    "cell_fingerprint",
     "chaos_policy",
     "ChaosError",
     "ChaosPolicy",
     "checkpoint_slug",
     "CheckpointMismatch",
     "ExecutionReport",
+    "execute_tasks",
     "FaultSpec",
     "QuarantinedTask",
     "QuarantineReport",
-    "run_supervised_campaign",
     "run_supervised_simulations",
     "SupervisedExecutor",
     "SupervisedOutcome",

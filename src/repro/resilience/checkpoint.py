@@ -16,7 +16,7 @@ import json
 import os
 import re
 import tempfile
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 from repro.analysis.metrics import RunResult
 
@@ -200,13 +200,3 @@ class CampaignCheckpoint:
 def checkpoint_slug(name: str) -> str:
     """A filesystem-safe file-name fragment for a strategy/experiment name."""
     return re.sub(r"[^A-Za-z0-9._-]+", "_", name).strip("_") or "unnamed"
-
-
-def checkpoint_for_fingerprints(
-    path: Optional[str], fingerprints: Iterable[str]
-) -> Optional[CampaignCheckpoint]:
-    """Build a checkpoint for a task list identified by its fingerprints."""
-    if path is None:
-        return None
-    fingerprints = list(fingerprints)
-    return CampaignCheckpoint(path, fingerprint_strings(fingerprints), len(fingerprints))

@@ -1,8 +1,8 @@
 """Task fingerprints and the error type that carries them.
 
 A worker-side failure used to surface as a bare pool traceback with no
-indication of *which* simulation died.  Every execution path now tags
-failures with the task's ``(scenario, attack, seed)`` fingerprint so an
+indication of *which* simulation died.  The executor's chunk body tags
+failures with the task's ``(scenario, attack, seed, ...)`` fingerprint so an
 operator (or the quarantine report) can re-run the offending simulation
 in isolation.
 """
@@ -11,7 +11,6 @@ from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.core.strategies import AttackStrategy
-    from repro.injection.campaign import CampaignCell
     from repro.injection.engine import SimulationConfig
 
 
@@ -24,24 +23,19 @@ def _scenario_name(scenario) -> str:
 def task_fingerprint(
     config: "SimulationConfig", strategy: Optional["AttackStrategy"] = None
 ) -> str:
-    """The ``(scenario, attack, seed)`` identity of one simulation task."""
+    """The identity of one simulation task.
+
+    Names the scenario, attack, seed, initial distance and strategy, plus
+    the driver flag and the step budget, so a checkpoint fingerprinted
+    over a task list refuses to load once either changes.
+    """
     attack = config.attack_type.value if config.attack_type is not None else "none"
     strategy_name = getattr(strategy, "name", "none") if strategy is not None else "none"
     return (
         f"scenario={_scenario_name(config.scenario)} attack={attack} "
         f"seed={config.seed} distance={config.initial_distance} "
-        f"strategy={strategy_name}"
-    )
-
-
-def cell_fingerprint(cell: "CampaignCell", strategy_name: str = "") -> str:
-    """The fingerprint of one campaign grid cell (no strategy build needed)."""
-    attack = cell.attack_type.value if cell.attack_type is not None else "none"
-    suffix = f" strategy={strategy_name}" if strategy_name else ""
-    return (
-        f"scenario={_scenario_name(cell.scenario)} attack={attack} "
-        f"seed={cell.seed} distance={cell.initial_distance} "
-        f"repetition={cell.repetition}{suffix}"
+        f"strategy={strategy_name} driver={config.driver_enabled} "
+        f"max_steps={config.max_steps}"
     )
 
 

@@ -1,9 +1,19 @@
-"""Supervised fault-tolerant dispatch for campaign-shaped work.
+"""The one execution route: task list → run cache → supervised executor.
 
-:class:`SupervisedExecutor` runs a list of independent simulation tasks
-(or campaign cells) with the same bit-identical-to-sequential contract
-as :mod:`repro.injection.executor`, but survives the failure modes a
-plain process pool does not:
+Every campaign, experiment, service chunk and search generation runs its
+``(SimulationConfig, strategy)`` task list through :func:`execute_tasks`.
+The route restores what a :class:`~repro.resilience.checkpoint.CampaignCheckpoint`
+already holds, looks the rest up in a :class:`~repro.service.cache.RunCache`
+(when given), and runs the misses through :class:`SupervisedExecutor`.
+The executor cuts the pending tasks into chunks and runs every chunk,
+inline or in a pool worker, through the one chunk body :func:`run_chunk`,
+which picks :func:`~repro.kernel.batch.run_batched` or one
+:func:`~repro.injection.engine.run_simulation` per task.  Results are
+bit-identical to a sequential run however the work was chunked.
+
+Without a :class:`SupervisionPolicy` the executor fails fast: the first
+failed chunk raises a :class:`TaskExecutionError` naming the task.  With
+a policy it survives the failure modes a plain process pool does not:
 
 * **worker exceptions** — the failing chunk is retried with seeded
   exponential backoff + jitter (deterministic per ``(task, attempt)``);
@@ -26,13 +36,14 @@ future reports the break is charged one attempt (the pool cannot say
 which worker died for which chunk), so quarantine decisions should be
 read together with ``pool_respawns``.
 
-The module-level :func:`run_supervised_simulations` and
-:func:`run_supervised_campaign` add crash-safe checkpointing on top
-(:class:`~repro.resilience.checkpoint.CampaignCheckpoint`): completed
-runs are recorded as chunks finish, and a resumed call pays only for
-the tasks the checkpoint does not already hold.
+Chunk sizing: with ``workers <= 1`` and ``batch_size > 1`` the whole
+pending list is one chunk (one lockstep batch); otherwise, and always
+when a checkpoint is written, the work is cut into about four chunks per
+worker.  ``chunk_size`` pins the size.  Completed runs reach the cache as
+their chunk finishes and the checkpoint flushes once per chunk's worth.
 """
 
+import multiprocessing
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -53,14 +64,12 @@ from typing import (
 import numpy as np
 
 from repro.analysis.metrics import RunResult
-from repro.resilience.chaos import ChaosError, ChaosPolicy
+from repro.resilience.chaos import ChaosPolicy
 from repro.resilience.checkpoint import CampaignCheckpoint, fingerprint_strings
-from repro.resilience.errors import TaskExecutionError, cell_fingerprint, task_fingerprint
-from repro.sim.units import DT
-from repro.telemetry import MetricsRegistry, Telemetry
+from repro.resilience.errors import TaskExecutionError, task_fingerprint
+from repro.telemetry import MetricsRegistry, Telemetry, TelemetryConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.injection.campaign import Campaign
     from repro.obs.journal import EventJournal
     from repro.obs.recorder import FlightRecorderConfig
     from repro.service.cache import RunCache
@@ -71,13 +80,9 @@ ResultCallback = Callable[[int, RunResult], None]
 #: Seconds between supervision sweeps (future wait timeout).
 _POLL_SECONDS = 0.05
 
-# Worker-side state, installed by the pool initializer (or inherited by
-# forked workers through the fork-time module state).
-_FORK_CAMPAIGN: Optional["Campaign"] = None
-_WORKER_CAMPAIGN: Optional["Campaign"] = None
-_WORKER_BATCH_SIZE: Optional[int] = None
-_WORKER_CHAOS: Optional[ChaosPolicy] = None
-_WORKER_RECORDER: Optional["FlightRecorderConfig"] = None
+#: This worker's task list and chunk settings, installed by the pool
+#: initializer in the worker process (never set in the parent).
+_WORKER_STATE: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -256,109 +261,145 @@ class SupervisedOutcome:
 
 
 class _ChunkWork:
-    """One chunk of tasks plus its retry bookkeeping."""
+    """One chunk of task indices plus its retry bookkeeping."""
 
-    __slots__ = ("entries", "attempts", "last_error")
+    __slots__ = ("indices", "attempts")
 
-    def __init__(self, entries: List[Tuple[int, Any]]):
-        self.entries = entries          # [(absolute index, item), ...]
+    def __init__(self, indices: List[int]):
+        self.indices = indices
         self.attempts = 0
-        self.last_error: Optional[BaseException] = None
 
     @property
     def anchor(self) -> int:
-        return self.entries[0][0]
+        return self.indices[0]
 
 
-# -- worker side --------------------------------------------------------------
+# -- the chunk body -----------------------------------------------------------
 
 
-def _init_supervised_worker(
-    campaign: Optional["Campaign"],
-    batch_size: Optional[int],
-    chaos: Optional[ChaosPolicy],
+def run_chunk(
+    tasks: Sequence[Tuple],
+    indices: Sequence[int],
+    batch_size: Optional[int] = None,
+    telemetry: Optional[Telemetry] = None,
     recorder: Optional["FlightRecorderConfig"] = None,
-) -> None:
-    """Pool initializer: install campaign, batch width and chaos policy."""
-    global _WORKER_CAMPAIGN, _WORKER_BATCH_SIZE, _WORKER_CHAOS, _WORKER_RECORDER
-    _WORKER_CAMPAIGN = campaign if campaign is not None else _FORK_CAMPAIGN
-    _WORKER_BATCH_SIZE = batch_size
-    _WORKER_CHAOS = chaos
-    _WORKER_RECORDER = recorder
+    chaos: Optional[ChaosPolicy] = None,
+    progress: Optional[ProgressCallback] = None,
+) -> List[Tuple[int, RunResult]]:
+    """Run ``tasks[i]`` for every ``i`` in ``indices``; the body of every chunk.
 
-
-def _run_supervised_chunk(payload):
-    """Worker body: run one chunk, consulting the installed chaos policy.
-
-    ``payload`` is ``(mode, use_batch, entries)`` with ``entries`` a list
-    of ``(absolute task index, item)``; returns ``[(index, RunResult)]``
-    in submission order (unless a chaos fault mangles it).
+    ``batch_size > 1`` steps a multi-task chunk through one lockstep
+    batch; otherwise each task is one scalar run.  Returns ``[(index,
+    RunResult)]`` in chunk order.  A failure raises
+    :class:`TaskExecutionError` naming the failing task (every candidate
+    task of a failed batch).  ``chaos`` injects worker faults and is only
+    given in pool workers; ``progress`` fires ``(done, len(indices))``
+    once per finished run.
     """
-    from repro.injection.engine import run_simulation
+    from repro.injection import engine  # local: repro.injection imports this module
+    from repro.kernel.batch import run_batched
 
-    mode, use_batch, entries = payload
-    chaos = _WORKER_CHAOS
-    recorder = _WORKER_RECORDER
-    campaign = _WORKER_CAMPAIGN if _WORKER_CAMPAIGN is not None else _FORK_CAMPAIGN
-
-    tasks = []
-    for index, item in entries:
-        if mode == "cells":
-            if campaign is None:  # pragma: no cover - defensive
-                raise RuntimeError("worker has no campaign installed")
-            config, strategy = campaign.cell_task(item)
-        else:
-            config, strategy = item
-        tasks.append((index, config, strategy))
-
-    results: List[Tuple[int, RunResult]] = []
-    if use_batch is not None and use_batch > 1 and len(tasks) > 1:
-        from repro.kernel.batch import run_batched
-
+    chunk = [tasks[index] for index in indices]
+    if batch_size is not None and batch_size > 1 and len(chunk) > 1:
         if chaos is not None:
-            for index, config, strategy in tasks:
+            for index, (config, strategy) in zip(indices, chunk):
                 chaos.before_task(index, task_fingerprint(config, strategy))
         try:
             outputs = run_batched(
-                [(config, strategy) for _, config, strategy in tasks],
-                batch_size=use_batch,
+                chunk,
+                batch_size=batch_size,
+                progress=progress,
+                telemetry=telemetry,
                 recorder=recorder,
             )
         except Exception as error:
             raise TaskExecutionError.wrap_batch(
-                [task_fingerprint(config, strategy) for _, config, strategy in tasks],
-                error,
+                [task_fingerprint(config, strategy) for config, strategy in chunk], error
             ) from error
-        results = [(index, output) for (index, _, _), output in zip(tasks, outputs)]
+        pairs = list(zip(indices, outputs))
     else:
-        for index, config, strategy in tasks:
+        pairs = []
+        for done, (index, (config, strategy)) in enumerate(zip(indices, chunk), start=1):
             try:
                 if chaos is not None:
                     chaos.before_task(index, task_fingerprint(config, strategy))
-                results.append(
-                    (index, run_simulation(config, strategy, recorder=recorder))
+                result = engine.run_simulation(
+                    config, strategy, telemetry=telemetry, recorder=recorder
                 )
-            except TaskExecutionError:
-                raise
             except Exception as error:
                 raise TaskExecutionError.wrap(
                     task_fingerprint(config, strategy), error
                 ) from error
-
+            pairs.append((index, result))
+            if progress is not None:
+                progress(done, len(chunk))
     if chaos is not None:
-        results = chaos.after_chunk(results)
-    return results
+        pairs = chaos.after_chunk(pairs)
+    return pairs
+
+
+def _init_worker(
+    tasks: List[Tuple],
+    batch_size: Optional[int],
+    telemetry_config: Optional[TelemetryConfig],
+    recorder: Optional["FlightRecorderConfig"],
+    chaos: Optional[ChaosPolicy],
+) -> None:
+    """Pool initializer: install the task list and chunk settings.
+
+    Under ``fork`` the arguments are inherited rather than pickled, so
+    tasks holding unpicklable strategies work there.
+    """
+    global _WORKER_STATE
+    _WORKER_STATE = (tasks, batch_size, telemetry_config, recorder, chaos)
+
+
+def _run_worker_chunk(payload: Tuple[List[int], bool]):
+    """Pool side of :func:`run_chunk`: ``payload`` is ``(indices, batched)``.
+
+    Returns ``(pairs, metrics registry or None)``; the metrics come from
+    a fresh chunk-local registry (pickled with exact histogram sums).
+    """
+    indices, batched = payload
+    assert _WORKER_STATE is not None, "worker has no task list installed"
+    tasks, batch_size, telemetry_config, recorder, chaos = _WORKER_STATE
+    telemetry = Telemetry(telemetry_config) if telemetry_config is not None else None
+    pairs = run_chunk(
+        tasks, indices, batch_size if batched else None, telemetry, recorder, chaos
+    )
+    return pairs, telemetry.metrics if telemetry is not None else None
+
+
+def _default_chunk_size(total: int, workers: int) -> int:
+    """About four chunks per worker."""
+    return max(1, -(-total // (max(1, workers) * 4)))
+
+
+def _chunked(items: Sequence, chunk_size: int) -> List[Sequence]:
+    return [items[i : i + chunk_size] for i in range(0, len(items), chunk_size)]
+
+
+def _pool_context():
+    """Prefer ``fork``: workers inherit the task list instead of unpickling it."""
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()
 
 
 # -- the supervisor -----------------------------------------------------------
 
 
 class SupervisedExecutor:
-    """Runs campaign-shaped work under the supervision policy.
+    """Runs a task list in chunks, inline or on a process pool.
 
-    One executor instance runs one dispatch at a time (it keeps per-run
-    state on ``self``); results are bit-identical to a plain sequential
-    run of the same tasks whatever faults the supervisor had to absorb.
+    ``policy=None`` fails fast on the first failed chunk; a
+    :class:`SupervisionPolicy` turns on retry, bisection, quarantine,
+    timeouts, pool respawn and degradation.  Each chunk records into a
+    fresh metrics registry (inline chunks share the ``telemetry``
+    handle's tracer); the registries of successful chunks merge into
+    ``telemetry`` in task order when the run ends.  One executor
+    instance runs one dispatch at a time (it keeps per-run state on
+    ``self``).
     """
 
     def __init__(
@@ -372,38 +413,36 @@ class SupervisedExecutor:
         recorder: Optional["FlightRecorderConfig"] = None,
         journal: Optional["EventJournal"] = None,
     ):
-        self.policy = policy or SupervisionPolicy()
+        self.policy = policy
         self.workers = max(1, workers if workers is not None else 1)
         self.chunk_size = chunk_size
         self.batch_size = batch_size
         self.chaos = chaos
+        self.telemetry = telemetry
         # The flight-recorder config ships to the workers (picklable);
         # the journal stays parent-side: causal events (retry, respawn,
         # bisection, quarantine) are emitted from the supervision loop,
         # which is exactly where the facts are decided.
         self.recorder = recorder
         self.journal = journal
-        # Telemetry on the supervised path is parent-side only: the
-        # worker payload protocol doubles as the corruption-detection
-        # surface (see _validate) and stays untouched.  Run metrics are
-        # derived from the returned results (steps from the recorded
-        # duration; per-run CAN frame counts are not available here), and
-        # retry/bisection/quarantine markers land in the trace.
-        self.telemetry = telemetry
-        self._mode = "tasks"
-        self._campaign: Optional["Campaign"] = None
+        self._tasks: List[Tuple] = []
+        self._progress: Optional[ProgressCallback] = None
+        self._reported = 0
+        self._total = 0
 
     def _journal_emit(self, kind: str, level: str = "info", **fields) -> None:
         if self.journal is not None:
             self.journal.emit(kind, level=level, **fields)
 
     def resolve_chunk_size(self, total: int) -> int:
-        """~4 chunks per worker unless pinned (same rule as the plain pool)."""
+        """Tasks per chunk: pinned, else one in-process lockstep batch, else ~4 per worker."""
         if self.chunk_size is not None:
             return max(1, self.chunk_size)
-        return max(1, -(-total // (self.workers * 4)))
+        if self.workers <= 1 and self.batch_size is not None and self.batch_size > 1:
+            return max(1, total)
+        return _default_chunk_size(total, self.workers)
 
-    # -- public entry points -------------------------------------------------
+    # -- public entry point --------------------------------------------------
 
     def run_tasks(
         self,
@@ -412,64 +451,62 @@ class SupervisedExecutor:
         progress: Optional[ProgressCallback] = None,
         on_result: Optional[ResultCallback] = None,
     ) -> SupervisedOutcome:
-        """Run ``(SimulationConfig, strategy)`` pairs under supervision."""
-        return self._run("tasks", None, list(tasks), indices, progress, on_result)
+        """Run ``tasks[i]`` for every ``i`` in ``indices`` (default: all).
 
-    def run_cells(
-        self,
-        campaign: "Campaign",
-        cells: Sequence,
-        indices: Optional[Sequence[int]] = None,
-        progress: Optional[ProgressCallback] = None,
-        on_result: Optional[ResultCallback] = None,
-    ) -> SupervisedOutcome:
-        """Run campaign cells under supervision (strategy factory stays
-        campaign-side, so closure factories work on fork platforms)."""
-        return self._run("cells", campaign, list(cells), indices, progress, on_result)
+        The outcome's results are aligned to ``tasks``: ``None`` where a
+        task was not in ``indices`` or was quarantined.  ``progress``
+        fires ``(completed, len(indices))`` once per finished run inline
+        and once per finished chunk on the pool; ``on_result`` fires
+        once per result as its chunk finishes.
+        """
+        self._tasks = list(tasks)
+        count = len(self._tasks)
+        indices = list(range(count)) if indices is None else list(indices)
+        self._progress = progress
+        self._reported = 0
+        self._total = len(indices)
+        report = ExecutionReport(total=len(indices))
+        results: Dict[int, RunResult] = {}
+        snapshots: Dict[int, Any] = {}
+        try:
+            if indices:
+                self._drive(indices, results, snapshots, report, on_result)
+        finally:
+            self._tasks = []
+            self._progress = None
+        if self.telemetry is not None:
+            for anchor in sorted(snapshots):
+                self.telemetry.merge(snapshots[anchor])
+        ordered = [results.get(index) for index in range(count)]
+        return SupervisedOutcome(results=ordered, report=report)
 
     # -- internals -----------------------------------------------------------
 
-    def _fingerprint_item(self, item) -> str:
-        try:
-            if self._mode == "cells":
-                assert self._campaign is not None
-                return cell_fingerprint(item, self._campaign.config.strategy_name)
-            config, strategy = item
-            return task_fingerprint(config, strategy)
-        except Exception:  # pragma: no cover - fingerprinting must not fail
-            return repr(item)
+    def _report_progress(self, completed: int) -> None:
+        # Monotonic: a retried inline chunk restarts its per-run count.
+        if self._progress is not None and completed > self._reported:
+            self._reported = completed
+            self._progress(completed, self._total)
 
-    def _run(
+    def _drive(
         self,
-        mode: str,
-        campaign: Optional["Campaign"],
-        items: List,
-        indices: Optional[Sequence[int]],
-        progress: Optional[ProgressCallback],
+        indices: List[int],
+        results: Dict[int, RunResult],
+        snapshots: Dict[int, Any],
+        report: ExecutionReport,
         on_result: Optional[ResultCallback],
-    ) -> SupervisedOutcome:
-        global _FORK_CAMPAIGN
-        self._mode = mode
-        self._campaign = campaign
-        if indices is None:
-            indices = list(range(len(items)))
-        if len(indices) != len(items):
-            raise ValueError("indices must align with the task list")
-        report = ExecutionReport(total=len(items))
-        results: Dict[int, RunResult] = {}
-        if not items:
-            return SupervisedOutcome(results=[], report=report)
-
-        entries = list(zip(indices, items))
-        chunk = self.resolve_chunk_size(len(entries))
+    ) -> None:
         pending: Deque[_ChunkWork] = deque(
-            _ChunkWork(entries[i: i + chunk]) for i in range(0, len(entries), chunk)
+            _ChunkWork(chunk)
+            for chunk in _chunked(indices, self.resolve_chunk_size(len(indices)))
         )
+        pool_width = min(self.workers, len(pending))
+        timeout = self.policy.chunk_timeout if self.policy is not None else None
         delayed: List[Tuple[float, _ChunkWork]] = []
         inflight: Dict[Any, _ChunkWork] = {}
         deadlines: Dict[Any, Optional[float]] = {}
         pool: Optional[ProcessPoolExecutor] = None
-        use_pool = self.workers > 1 and len(entries) > 1
+        use_pool = self.workers > 1 and len(indices) > 1
         respawns = 0
 
         try:
@@ -485,38 +522,36 @@ class SupervisedExecutor:
 
                 if not use_pool:
                     if pending:
-                        self._execute_inline(
-                            pending.popleft(), pending, delayed, results, report,
-                            progress, on_result,
+                        self._run_inline(
+                            pending.popleft(), pending, delayed, results, snapshots,
+                            report, on_result,
                         )
                     elif delayed:
                         time.sleep(max(0.0, min(at for at, _ in delayed) - now))
                     continue
 
                 if pool is None and pending:
-                    pool = self._spawn_pool()
+                    pool = self._spawn_pool(pool_width)
+                pool_broken = False
                 while pending and pool is not None:
                     work = pending.popleft()
-                    use_batch = (
-                        self.batch_size
-                        if (
-                            self.batch_size is not None
-                            and self.batch_size > 1
-                            and len(work.entries) > 1
-                            and work.attempts == 0
+                    try:
+                        future = pool.submit(
+                            _run_worker_chunk, (work.indices, work.attempts == 0)
                         )
-                        else None
-                    )
-                    future = pool.submit(
-                        _run_supervised_chunk, (mode, use_batch, work.entries)
-                    )
+                    except BrokenProcessPool:
+                        # A worker died since the last sweep: requeue this
+                        # chunk free of charge and respawn below.
+                        if self.policy is None:
+                            raise
+                        pending.appendleft(work)
+                        pool_broken = True
+                        break
                     inflight[future] = work
                     deadlines[future] = (
-                        None
-                        if self.policy.chunk_timeout is None
-                        else time.monotonic() + self.policy.chunk_timeout
+                        None if timeout is None else time.monotonic() + timeout
                     )
-                if not inflight:
+                if not inflight and not pool_broken:
                     if delayed:
                         time.sleep(
                             max(0.0, min(at for at, _ in delayed) - time.monotonic())
@@ -526,7 +561,6 @@ class SupervisedExecutor:
                 done, _ = wait(
                     set(inflight), timeout=_POLL_SECONDS, return_when=FIRST_COMPLETED
                 )
-                pool_broken = False
                 for future in done:
                     work = inflight.pop(future)
                     deadlines.pop(future)
@@ -535,12 +569,17 @@ class SupervisedExecutor:
                     except BrokenProcessPool as error:
                         pool_broken = True
                         self._fail_attempt(work, error, pending, delayed, report)
-                    except (TaskExecutionError, ChaosError, Exception) as error:
+                    except Exception as error:
                         self._fail_attempt(work, error, pending, delayed, report)
                     else:
                         problem = self._validate(work, payload)
                         if problem is None:
-                            self._record(payload, results, report, progress, on_result)
+                            pairs, snapshot = payload
+                            self._record(
+                                work, pairs, snapshot, results, snapshots, report,
+                                on_result,
+                            )
+                            self._report_progress(report.completed)
                         else:
                             self._fail_attempt(
                                 work, TaskExecutionError(problem), pending, delayed, report
@@ -561,14 +600,13 @@ class SupervisedExecutor:
                             "supervisor.timeout",
                             level="warning",
                             anchor=work.anchor,
-                            tasks=len(work.entries),
-                            timeout_s=self.policy.chunk_timeout,
+                            tasks=len(work.indices),
+                            timeout_s=timeout,
                         )
                         self._fail_attempt(
                             work,
                             TimeoutError(
-                                f"chunk exceeded the {self.policy.chunk_timeout}s "
-                                "wall-clock timeout"
+                                f"chunk exceeded the {timeout}s wall-clock timeout"
                             ),
                             pending,
                             delayed,
@@ -590,6 +628,7 @@ class SupervisedExecutor:
                     self._journal_emit(
                         "supervisor.respawn", level="warning", respawns=respawns
                     )
+                    assert self.policy is not None  # fail-fast raised above
                     if (
                         respawns > self.policy.max_pool_respawns
                         and self.policy.degrade_to_sequential
@@ -602,118 +641,75 @@ class SupervisedExecutor:
         finally:
             if pool is not None:
                 _kill_pool(pool)
-            _FORK_CAMPAIGN = None
-            self._campaign = None
 
-        ordered: List[Optional[RunResult]] = [results.get(index) for index in indices]
-        return SupervisedOutcome(results=ordered, report=report)
-
-    def _spawn_pool(self) -> ProcessPoolExecutor:
-        global _FORK_CAMPAIGN
-        from repro.injection.executor import _pool_context
-
-        context, forked = _pool_context()
-        campaign = self._campaign
-        if self._mode == "cells" and forked:
-            # Forked workers inherit the campaign object (works for any
-            # strategy factory, including closures); non-fork platforms
-            # pickle it through the initializer instead.
-            _FORK_CAMPAIGN = campaign
-            init_campaign = None
-        else:
-            init_campaign = campaign
+    def _spawn_pool(self, width: int) -> ProcessPoolExecutor:
+        telemetry_config = (
+            self.telemetry.worker_config() if self.telemetry is not None else None
+        )
         return ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=context,
-            initializer=_init_supervised_worker,
-            initargs=(init_campaign, self.batch_size, self.chaos, self.recorder),
+            max_workers=width,
+            mp_context=_pool_context(),
+            initializer=_init_worker,
+            initargs=(
+                self._tasks, self.batch_size, telemetry_config, self.recorder, self.chaos
+            ),
         )
 
-    def _resolve_task(self, item) -> Tuple:
-        if self._mode == "cells":
-            assert self._campaign is not None
-            return self._campaign.cell_task(item)
-        return item
-
-    def _execute_inline(
+    def _run_inline(
         self,
         work: _ChunkWork,
         pending: Deque[_ChunkWork],
         delayed: List[Tuple[float, _ChunkWork]],
         results: Dict[int, RunResult],
+        snapshots: Dict[int, Any],
         report: ExecutionReport,
-        progress: Optional[ProgressCallback],
         on_result: Optional[ResultCallback],
     ) -> None:
-        """Run one chunk in-process (sequential mode, or after degradation).
+        """Run one chunk in-process (``workers <= 1``, or after degradation).
 
         The chaos policy deliberately does not apply here: it models
         *worker* faults, and the in-process path is the clean fallback.
-        A chunk whose batched attempt failed retries scalar.
         """
-        from repro.injection.engine import run_simulation
-
-        tasks = [(index, *self._resolve_task(item)) for index, item in work.entries]
-        use_batch = (
-            self.batch_size
-            if (
-                self.batch_size is not None
-                and self.batch_size > 1
-                and len(tasks) > 1
-                and work.attempts == 0
+        telemetry = None
+        if self.telemetry is not None:
+            telemetry = Telemetry(
+                self.telemetry.worker_config(), tracer=self.telemetry.tracer
             )
-            else None
-        )
+        base = report.completed
         try:
-            if use_batch is not None:
-                from repro.kernel.batch import run_batched
-
-                try:
-                    outputs = run_batched(
-                        [(config, strategy) for _, config, strategy in tasks],
-                        batch_size=use_batch,
-                        recorder=self.recorder,
-                    )
-                except Exception as error:
-                    raise TaskExecutionError.wrap_batch(
-                        [task_fingerprint(config, strategy) for _, config, strategy in tasks],
-                        error,
-                    ) from error
-                payload = [(index, output) for (index, _, _), output in zip(tasks, outputs)]
-            else:
-                payload = []
-                for index, config, strategy in tasks:
-                    try:
-                        payload.append(
-                            (
-                                index,
-                                run_simulation(config, strategy, recorder=self.recorder),
-                            )
-                        )
-                    except Exception as error:
-                        raise TaskExecutionError.wrap(
-                            task_fingerprint(config, strategy), error
-                        ) from error
+            pairs = run_chunk(
+                self._tasks,
+                work.indices,
+                self.batch_size if work.attempts == 0 else None,
+                telemetry,
+                self.recorder,
+                progress=lambda done, _: self._report_progress(base + done),
+            )
         except TaskExecutionError as error:
             self._fail_attempt(work, error, pending, delayed, report)
             return
-        self._record(payload, results, report, progress, on_result)
+        self._record(
+            work, pairs, telemetry.metrics if telemetry is not None else None,
+            results, snapshots, report, on_result,
+        )
 
     def _validate(self, work: _ChunkWork, payload) -> Optional[str]:
         """Reject short, reordered or type-corrupted worker payloads."""
-        expected = [index for index, _ in work.entries]
-        if not isinstance(payload, list):
-            return f"worker returned {type(payload).__name__}, expected a result list"
+        if not (isinstance(payload, tuple) and len(payload) == 2):
+            return f"worker returned {type(payload).__name__}, expected (results, metrics)"
+        pairs = payload[0]
+        if not isinstance(pairs, list):
+            return f"worker returned {type(pairs).__name__}, expected a result list"
         got = [
             entry[0] if isinstance(entry, tuple) and len(entry) == 2 else None
-            for entry in payload
+            for entry in pairs
         ]
-        if got != expected:
+        if got != work.indices:
             return (
-                f"worker returned results for indices {got}, expected {expected} "
+                f"worker returned results for indices {got}, expected {work.indices} "
                 "(short or corrupted payload)"
             )
-        for index, result in payload:
+        for index, result in pairs:
             if not isinstance(result, RunResult):
                 return (
                     f"task {index} returned {type(result).__name__}, "
@@ -723,22 +719,21 @@ class SupervisedExecutor:
 
     def _record(
         self,
-        payload: List[Tuple[int, RunResult]],
+        work: _ChunkWork,
+        pairs: List[Tuple[int, RunResult]],
+        snapshot: Any,
         results: Dict[int, RunResult],
+        snapshots: Dict[int, Any],
         report: ExecutionReport,
-        progress: Optional[ProgressCallback],
         on_result: Optional[ResultCallback],
     ) -> None:
-        telemetry = self.telemetry
-        for index, result in payload:
+        if snapshot is not None:
+            snapshots[work.anchor] = snapshot
+        for index, result in pairs:
             results[index] = result
             report.completed += 1
-            if telemetry is not None:
-                telemetry.record_run(result, steps=int(round(result.duration / DT)))
             if on_result is not None:
                 on_result(index, result)
-        if progress is not None:
-            progress(report.completed, report.total)
 
     def _fail_attempt(
         self,
@@ -748,31 +743,33 @@ class SupervisedExecutor:
         delayed: List[Tuple[float, _ChunkWork]],
         report: ExecutionReport,
     ) -> None:
+        policy = self.policy
+        if policy is None:
+            raise error
         work.attempts += 1
-        work.last_error = error
         tracer = self.telemetry.tracer if self.telemetry is not None else None
-        if work.attempts >= self.policy.max_chunk_attempts:
-            if len(work.entries) > 1:
+        if work.attempts >= policy.max_chunk_attempts:
+            if len(work.indices) > 1:
                 # Bisect: isolate the poison task instead of retrying the
                 # whole chunk forever. Each half starts with a clean slate.
                 report.bisections += 1
-                mid = len(work.entries) // 2
-                pending.append(_ChunkWork(work.entries[:mid]))
-                pending.append(_ChunkWork(work.entries[mid:]))
+                mid = len(work.indices) // 2
+                pending.append(_ChunkWork(work.indices[:mid]))
+                pending.append(_ChunkWork(work.indices[mid:]))
                 if tracer is not None:
                     tracer.instant(
-                        "supervisor.bisect", anchor=work.anchor, tasks=len(work.entries)
+                        "supervisor.bisect", anchor=work.anchor, tasks=len(work.indices)
                     )
                 self._journal_emit(
                     "supervisor.bisect",
                     anchor=work.anchor,
-                    tasks=len(work.entries),
+                    tasks=len(work.indices),
                     error=str(error),
                 )
             else:
-                index, item = work.entries[0]
-                fingerprint = getattr(error, "fingerprint", "") or self._fingerprint_item(
-                    item
+                index = work.indices[0]
+                fingerprint = getattr(error, "fingerprint", "") or task_fingerprint(
+                    *self._tasks[index]
                 )
                 report.quarantine.tasks.append(
                     QuarantinedTask(
@@ -797,11 +794,11 @@ class SupervisedExecutor:
         if (
             self.batch_size is not None
             and self.batch_size > 1
-            and len(work.entries) > 1
+            and len(work.indices) > 1
             and work.attempts == 1
         ):
             report.scalar_fallbacks += 1  # the retry below runs scalar
-        delay = self.policy.backoff_delay(work.anchor, work.attempts)
+        delay = policy.backoff_delay(work.anchor, work.attempts)
         report.backoff_seconds += delay
         if tracer is not None:
             tracer.instant(
@@ -833,35 +830,47 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
         pass
 
 
-# -- checkpointed entry points ------------------------------------------------
+# -- the route ----------------------------------------------------------------
 
 
-def _run_with_checkpoint(
-    mode: str,
-    campaign: Optional["Campaign"],
-    items: List,
-    fingerprints: List[str],
-    identity_extras: List[str],
-    policy: Optional[SupervisionPolicy],
-    workers: Optional[int],
-    chunk_size: Optional[int],
-    batch_size: Optional[int],
-    progress: Optional[ProgressCallback],
-    chaos: Optional[ChaosPolicy],
-    checkpoint_path: Optional[str],
-    on_result: Optional[ResultCallback],
+def execute_tasks(
+    tasks: Sequence[Tuple],
+    policy: Optional[SupervisionPolicy] = None,
+    workers: Optional[int] = None,
+    chunk_size: Optional[int] = None,
+    batch_size: Optional[int] = None,
+    progress: Optional[ProgressCallback] = None,
+    chaos: Optional[ChaosPolicy] = None,
+    checkpoint_path: Optional[str] = None,
+    on_result: Optional[ResultCallback] = None,
     telemetry: Optional[Telemetry] = None,
     cache: Optional["RunCache"] = None,
     recorder: Optional["FlightRecorderConfig"] = None,
     journal: Optional["EventJournal"] = None,
 ) -> SupervisedOutcome:
-    total = len(items)
+    """Run a task list: checkpoint, then cache, then the executor.
+
+    Results are aligned to ``tasks`` (``None`` where a task was
+    quarantined) and bit-identical to a sequential run.  ``chaos`` or
+    ``checkpoint_path`` without a ``policy`` supervise with the default
+    :class:`SupervisionPolicy`; with none of the three the executor
+    fails fast.  The checkpoint is fingerprinted over every task's
+    :func:`task_fingerprint`; results restored from it or served by the
+    ``cache`` count toward ``progress`` up front.  ``journal`` receives
+    the supervision and checkpoint events (parent-side only), and with
+    ``telemetry`` the :class:`ExecutionReport` lands as ``supervisor.*``
+    metrics after the runs' own.
+    """
+    tasks = list(tasks)
+    total = len(tasks)
+    if policy is None and (chaos is not None or checkpoint_path is not None):
+        policy = SupervisionPolicy()
     checkpoint: Optional[CampaignCheckpoint] = None
     done: Dict[int, RunResult] = {}
     if checkpoint_path is not None:
         checkpoint = CampaignCheckpoint(
             checkpoint_path,
-            fingerprint_strings(fingerprints + identity_extras),
+            fingerprint_strings(task_fingerprint(config, strategy) for config, strategy in tasks),
             total,
         )
         done = checkpoint.load()
@@ -871,34 +880,25 @@ def _run_with_checkpoint(
             )
     loaded_from_checkpoint = len(done)
 
-    def task_of(index: int) -> Tuple:
-        if mode == "cells":
-            assert campaign is not None
-            return campaign.cell_task(items[index])
-        return items[index]
-
-    # The shared run cache answers before any simulation is paid for:
-    # every task not already restored by the checkpoint is looked up by
-    # content fingerprint, and the hits join `done` exactly as checkpoint
-    # results do.  Fresh results are stored back from the result hook, so
-    # resume-by-replay degenerates to cache lookup on the next run.
-    cache_keys: Dict[int, str] = {}
-    loaded_from_cache = 0
+    # The cache answers for every task the checkpoint did not restore;
+    # fresh results are stored back from the result hook.
+    keys: Dict[int, Optional[str]] = {}
     if cache is not None:
-        for index in range(total):
-            if index in done:
-                continue
-            config, strategy = task_of(index)
-            key = cache.fingerprint(config, strategy)
-            if key is None:
-                continue
-            cache_keys[index] = key
-            hit = cache.get(key)
-            if hit is not None:
-                done[index] = hit
-                loaded_from_cache += 1
+        from repro.service.cache import partition_tasks
 
-    pending_indices = [index for index in range(total) if index not in done]
+        unrestored = [index for index in range(total) if index not in done]
+        hits, _, unrestored_keys = partition_tasks([tasks[i] for i in unrestored], cache)
+        for position, index in enumerate(unrestored):
+            keys[index] = unrestored_keys[position]
+            if position in hits:
+                done[index] = hits[position]
+    loaded = len(done)
+    pending = [index for index in range(total) if index not in done]
+    if checkpoint is not None and chunk_size is None:
+        # The checkpoint flushes once per chunk: keep several chunks even
+        # where the executor would otherwise batch everything in one.
+        chunk_size = _default_chunk_size(len(pending), workers or 1)
+
     executor = SupervisedExecutor(
         policy=policy,
         workers=workers,
@@ -909,8 +909,7 @@ def _run_with_checkpoint(
         recorder=recorder,
         journal=journal,
     )
-    loaded = len(done)
-    flush_every = executor.resolve_chunk_size(max(1, len(pending_indices)))
+    flush_every = executor.resolve_chunk_size(max(1, len(pending)))
     fresh_since_flush = 0
 
     def hook(index: int, result: RunResult) -> None:
@@ -923,49 +922,34 @@ def _run_with_checkpoint(
                 fresh_since_flush = 0
                 if journal is not None:
                     journal.emit("checkpoint.flush", path=checkpoint_path)
-        if cache is not None and index in cache_keys:
-            cache.put(cache_keys[index], result)
+        key = keys.get(index)
+        if key is not None:
+            cache.put(key, result)
         if on_result is not None:
             on_result(index, result)
 
     wrapped_progress: Optional[ProgressCallback] = None
     if progress is not None:
-        wrapped_progress = lambda completed, _total: progress(loaded + completed, total)  # noqa: E731
+        if loaded:
+            progress(loaded, total)
+        wrapped_progress = lambda done, _: progress(loaded + done, total)  # noqa: E731
 
-    if mode == "cells":
-        assert campaign is not None
-        outcome = executor.run_cells(
-            campaign,
-            [items[index] for index in pending_indices],
-            indices=pending_indices,
-            progress=wrapped_progress,
-            on_result=hook,
-        )
-    else:
-        outcome = executor.run_tasks(
-            [items[index] for index in pending_indices],
-            indices=pending_indices,
-            progress=wrapped_progress,
-            on_result=hook,
-        )
+    outcome = executor.run_tasks(
+        tasks, indices=pending, progress=wrapped_progress, on_result=hook
+    )
     if checkpoint is not None:
         checkpoint.flush()
         if journal is not None:
             journal.emit("checkpoint.flush", path=checkpoint_path, final=True)
 
-    merged: List[Optional[RunResult]] = [None] * total
     for index, result in done.items():
-        merged[index] = result
-    for position, index in enumerate(pending_indices):
-        merged[index] = outcome.results[position]
-    outcome.results = merged
-    outcome.report.total = total
-    outcome.report.loaded_from_checkpoint = loaded_from_checkpoint
-    outcome.report.loaded_from_cache = loaded_from_cache
+        outcome.results[index] = result
+    report = outcome.report
+    report.total = total
+    report.loaded_from_checkpoint = loaded_from_checkpoint
+    report.loaded_from_cache = loaded - loaded_from_checkpoint
     if telemetry is not None:
-        # Merged last so loaded_from_checkpoint is final; run metrics were
-        # recorded per result as chunks completed.
-        telemetry.merge(outcome.report.metrics_snapshot())
+        telemetry.merge(report.metrics_snapshot())
     return outcome
 
 
@@ -986,54 +970,11 @@ def run_supervised_simulations(
 ) -> SupervisedOutcome:
     """Supervised (and optionally checkpointed) :func:`run_simulations`.
 
-    Results are bit-identical to a plain sequential run; with
-    ``checkpoint_path`` a resumed call pays only for unfinished tasks,
-    and with ``cache`` (:class:`repro.service.RunCache`) only for tasks
-    the shared content-addressed cache cannot serve.  ``recorder`` arms
-    the per-run flight recorder in the workers; ``journal`` receives the
-    supervision and checkpoint events (parent-side only).
+    :func:`execute_tasks` under ``policy`` (default
+    :class:`SupervisionPolicy`), returning the full outcome.
     """
-    tasks = list(tasks)
-    fingerprints = [task_fingerprint(config, strategy) for config, strategy in tasks]
-    return _run_with_checkpoint(
-        "tasks", None, tasks, fingerprints, [], policy, workers, chunk_size,
-        batch_size, progress, chaos, checkpoint_path, on_result, telemetry,
-        cache, recorder, journal,
-    )
-
-
-def run_supervised_campaign(
-    campaign: "Campaign",
-    policy: Optional[SupervisionPolicy] = None,
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    batch_size: Optional[int] = None,
-    progress: Optional[ProgressCallback] = None,
-    chaos: Optional[ChaosPolicy] = None,
-    checkpoint_path: Optional[str] = None,
-    on_result: Optional[ResultCallback] = None,
-    telemetry: Optional[Telemetry] = None,
-    cache: Optional["RunCache"] = None,
-    recorder: Optional["FlightRecorderConfig"] = None,
-    journal: Optional["EventJournal"] = None,
-) -> SupervisedOutcome:
-    """Supervised (and optionally checkpointed) :meth:`Campaign.run`.
-
-    The checkpoint fingerprint covers every cell's ``(scenario, attack,
-    seed, distance, repetition)`` plus the campaign's strategy name,
-    driver flag and step budget, so a stale checkpoint from an edited
-    campaign refuses to load.
-    """
-    config = campaign.config
-    cells = list(campaign.cells())
-    fingerprints = [cell_fingerprint(cell, config.strategy_name) for cell in cells]
-    identity = [
-        f"strategy={config.strategy_name}",
-        f"driver={config.driver_enabled}",
-        f"max_steps={config.max_steps}",
-    ]
-    return _run_with_checkpoint(
-        "cells", campaign, cells, fingerprints, identity, policy, workers,
-        chunk_size, batch_size, progress, chaos, checkpoint_path, on_result,
-        telemetry, cache, recorder, journal,
+    return execute_tasks(
+        tasks, policy or SupervisionPolicy(), workers, chunk_size, batch_size,
+        progress, chaos, checkpoint_path, on_result, telemetry, cache, recorder,
+        journal,
     )

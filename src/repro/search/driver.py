@@ -4,12 +4,11 @@
 
 * **generation evaluation** — every generation's unevaluated points are
   expanded into ``repetitions`` simulation tasks each and executed as
-  *one* dense batch through :func:`repro.kernel.batch.run_batched`
-  (``batch_size``), through the process pool
-  (:func:`repro.injection.executor.run_simulations`, ``workers``), or
-  sequentially — all three bit-identical, so the search trajectory is a
-  pure function of ``(space, objective, optimizer, master_seed,
-  budget)``;
+  one task list through :func:`repro.injection.executor.run_simulations`
+  (one dense batch with ``batch_size``, a process pool with ``workers``,
+  the shared run cache first) — bit-identical however it runs, so the
+  search trajectory is a pure function of ``(space, objective,
+  optimizer, master_seed, budget)``;
 * **memoization** — re-proposed points are scored from the memo instead
   of re-simulated (optimizers converge onto their incumbents, so this
   saves real simulations), while the optimizer still receives the score;
@@ -47,7 +46,7 @@ from typing import (
 import numpy as np
 
 from repro.analysis.metrics import RunResult
-from repro.injection.engine import run_simulation
+from repro.injection.executor import run_simulations
 from repro.resilience.checkpoint import atomic_write_json
 from repro.search.objectives import Objective
 from repro.telemetry import Telemetry
@@ -149,10 +148,10 @@ class SearchConfig:
             seed); the objective aggregates over them.
         master_seed: Root of every derived seed.
         batch_size: Lockstep batch width for generation evaluation
-            (> 1 routes each generation through
-            :func:`repro.kernel.batch.run_batched`).
-        workers: Process-pool width (> 1 routes through
-            :func:`repro.injection.executor.run_simulations`; tasks are
+            (> 1 steps each generation's tasks through the kernel
+            together).
+        workers: Process-pool width (> 1 fans each generation's tasks
+            out over a pool; off ``fork`` platforms the tasks are
             pickled, so decoded strategies must be picklable — the
             built-in ones are).
         stop_on_hazard: Stop as soon as an evaluation finds a hazard
@@ -322,37 +321,18 @@ class SearchDriver:
         return tasks, seeds
 
     def _execute(self, tasks: Sequence[SearchTask]) -> List[RunResult]:
-        """Run tasks batched / pooled / sequentially (identical results).
+        """Run one generation's tasks through the execution route.
 
         With a ``run_cache``, cached repetitions are served directly and
-        only the misses reach the execution back-end.
+        only the misses are simulated.
         """
-        if self.run_cache is not None:
-            from repro.service.cache import run_tasks_cached
-
-            return run_tasks_cached(tasks, self.run_cache, self._execute_uncached)
-        return self._execute_uncached(tasks)
-
-    def _execute_uncached(self, tasks: Sequence[SearchTask]) -> List[RunResult]:
-        config = self.config
-        telemetry = self.telemetry
-        if config.workers is not None and config.workers > 1 and len(tasks) > 1:
-            from repro.injection.executor import run_simulations
-
-            return run_simulations(
-                tasks,
-                workers=config.workers,
-                batch_size=config.batch_size,
-                telemetry=telemetry,
-            )
-        if config.batch_size is not None and config.batch_size > 1 and len(tasks) > 1:
-            from repro.kernel.batch import run_batched
-
-            return run_batched(tasks, batch_size=config.batch_size, telemetry=telemetry)
-        return [
-            run_simulation(task_config, strategy, telemetry=telemetry)
-            for task_config, strategy in tasks
-        ]
+        return run_simulations(
+            tasks,
+            workers=self.config.workers,
+            batch_size=self.config.batch_size,
+            telemetry=self.telemetry,
+            cache=self.run_cache,
+        )
 
     # -- the search loop -----------------------------------------------------
 

@@ -10,16 +10,17 @@ loop into reusable infrastructure:
 * :mod:`repro.service.cache` — the persistent :class:`RunCache`
   (sharded JSON/zlib blobs, atomic durable writes, integrity-verified
   reads with corruption quarantine-and-recompute, LRU cap, telemetry
-  counters), consulted by ``Campaign.run``/``run_resilient``,
+  counters), consulted by the one execution route
+  (:func:`repro.resilience.execute_tasks`, behind ``Campaign.run``,
   ``run_simulations``, the table/figure experiments and the search
-  driver before any simulation is paid for;
+  driver) before any simulation is paid for;
 * :mod:`repro.service.jobs` / :mod:`repro.service.service` — the
   asyncio :class:`CampaignService`: queued campaign/search jobs over
-  the pool/batch back-end via ``run_in_executor``, streaming progress
+  the execution route via ``run_in_executor``, streaming progress
   events and partial results per job.
 """
 
-from repro.service.cache import CacheStats, RunCache, partition_tasks, run_tasks_cached
+from repro.service.cache import CacheStats, RunCache, partition_tasks
 from repro.service.fingerprint import (
     CODE_EPOCH_ENV,
     FingerprintUnavailable,
@@ -56,6 +57,5 @@ __all__ = [
     "partition_tasks",
     "register_strategy_fingerprint",
     "RunCache",
-    "run_tasks_cached",
     "SearchJobSpec",
 ]

@@ -33,7 +33,7 @@ import json
 import os
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import RunResult
 from repro.core.strategies import AttackStrategy
@@ -298,40 +298,3 @@ def partition_tasks(
                 continue
         pending.append(index)
     return cached, pending, keys
-
-
-def run_tasks_cached(
-    tasks: Sequence[SimulationTask],
-    cache: RunCache,
-    runner: Callable[[Sequence[SimulationTask]], Sequence[RunResult]],
-    progress: Optional[Callable[[RunResult], None]] = None,
-) -> List[RunResult]:
-    """Run a task list through the cache, delegating misses to ``runner``.
-
-    ``runner`` receives only the tasks the cache could not serve and
-    must return their results in the same order; fresh results are
-    stored back under their fingerprints.  The returned list is in
-    original task order and bit-identical to an uncached run.  The
-    optional ``progress`` callback fires once per task — for hits and
-    fresh runs alike — in task order.
-    """
-    cached, pending, keys = partition_tasks(tasks, cache)
-    fresh: Dict[int, RunResult] = {}
-    if pending:
-        computed = runner([tasks[index] for index in pending])
-        if len(computed) != len(pending):
-            raise RuntimeError(
-                f"runner returned {len(computed)} results for {len(pending)} tasks"
-            )
-        for index, result in zip(pending, computed):
-            fresh[index] = result
-            key = keys[index]
-            if key is not None:
-                cache.put(key, result)
-    results: List[RunResult] = []
-    for index in range(len(tasks)):
-        result = cached[index] if index in cached else fresh[index]
-        results.append(result)
-        if progress is not None:
-            progress(result)
-    return results

@@ -2,16 +2,16 @@
 
 :class:`CampaignService` is the serving layer of the platform — an
 asyncio front-end that accepts queued jobs (campaign grids, search
-budgets), executes them over the existing pool/batch/supervised
-back-end, and answers from the shared content-addressed
-:class:`~repro.service.cache.RunCache` before paying for any simulation.
+budgets), executes them over the one execution route, and answers from
+the shared content-addressed :class:`~repro.service.cache.RunCache`
+before paying for any simulation.
 
 Execution model: ``concurrency`` consumer coroutines drain one shared
 job queue.  A campaign job is sharded into service-level chunks; each
 chunk is one blocking
-:func:`~repro.injection.executor.run_simulations` call (itself pooled /
-batched / supervised per the job spec, and cache-aware) pushed off the
-event loop with ``loop.run_in_executor``, so the loop stays responsive
+:func:`~repro.injection.executor.run_simulations` call (cache first,
+then the supervised executor, pooled / batched / supervised per the job
+spec) pushed off the event loop with ``loop.run_in_executor``, so the loop stays responsive
 and concurrent jobs interleave chunk by chunk.  A search job runs a
 :class:`~repro.search.driver.SearchDriver` (sharing the same cache) in
 the executor, streaming one progress event per completed generation via
@@ -189,10 +189,7 @@ class CampaignService:
     async def _run_campaign_job(self, job: Job) -> List[RunResult]:
         spec = job.spec
         assert isinstance(spec, CampaignJobSpec)
-        campaign = Campaign(spec.config, strategy_factory=spec.strategy_factory)
-        tasks: List[SimulationTask] = [
-            campaign.cell_task(cell) for cell in campaign.cells()
-        ]
+        tasks = Campaign(spec.config, strategy_factory=spec.strategy_factory).tasks()
         total = len(tasks)
         chunk_runs = spec.chunk_runs
         if chunk_runs is None:

@@ -2,26 +2,28 @@
 
 A :class:`Telemetry` object bundles one :class:`MetricsRegistry`, an
 optional :class:`Tracer`, and the :class:`TelemetryConfig` knobs, and is
-what ``Campaign.run(telemetry=...)``, ``run_simulation``,
-``SearchDriver`` and the batch/pool executors accept.
+what ``Campaign.run(telemetry=...)``, ``run_simulations``,
+``run_simulation``, ``run_batched`` and ``SearchDriver`` accept.
 
 Aggregation model
 -----------------
 
-* **in-process** (sequential, lockstep-batched, SearchDriver): every run
-  records directly into the shared registry; pipelines are wrapped with
-  a sampled :class:`~repro.telemetry.probe.PipelineProbe` per run.
-* **process pool** (:class:`~repro.injection.executor.ParallelCampaignRunner`,
-  :func:`~repro.injection.executor.run_simulations`): workers accumulate
-  into chunk-local registries and ship snapshots back with the results;
-  the parent merges them **in chunk order** after collection, so the
-  merged view is identical to the sequential one (pinned by the
-  determinism tests) even though chunks complete out of order.
-* **supervised** (:mod:`repro.resilience.supervisor`): the parent records
-  supervision counters (retries, timeouts, respawns, backoff) and
-  result-derived run metrics; worker-side stage probes are off on this
-  path (the payload protocol is the supervisor's corruption-detection
-  surface and stays untouched).
+Every campaign, experiment, service chunk and search generation runs
+through the one execution route
+(:func:`repro.resilience.supervisor.execute_tasks`), and every chunk of
+it — inline or in a pool worker — records into a **fresh chunk-local
+registry** (runs wrap their pipelines with a sampled
+:class:`~repro.telemetry.probe.PipelineProbe`; inline chunks share the
+caller's tracer, so ``run`` spans land there).  The registries of the
+chunks that succeeded merge into the caller's **in task order** when the
+route returns, followed by the supervisor's ``supervisor.*`` report, so
+the deterministic snapshot of a campaign is the same whether it ran
+sequentially, batched, pooled or supervised (pinned by the determinism
+tests).  A chunk that
+failed and was retried contributes only its successful attempt.  Direct
+:func:`~repro.injection.engine.run_simulation` and
+:func:`~repro.kernel.batch.run_batched` calls record straight into the
+handle they are given.
 
 The config is a small frozen dataclass so it pickles cheaply to workers;
 the registry pickles as its snapshot.

@@ -5,12 +5,14 @@ a :class:`MetricsRegistry`.  Everything here is designed around the
 execution model of the rest of the library:
 
 * **picklable / JSON-safe** — worker processes accumulate into their own
-  registries and ship plain :meth:`MetricsRegistry.snapshot` dicts back
-  to the parent, which merges them;
+  registries and ship them back to the parent (pickled as
+  :meth:`MetricsRegistry.snapshot` dicts plus exact histogram sums),
+  which merges them;
 * **mergeable** — counters and histograms merge by summation (histogram
-  merge is associative and commutative, pinned by a hypothesis test), so
-  a campaign-level view aggregates identically whether the runs executed
-  sequentially, through the process pool, or lockstep-batched;
+  merge is associative and commutative, pinned by a hypothesis test, and
+  histogram sums are kept exact), so a campaign-level view aggregates
+  bit-identically however the runs were chunked: sequentially, through
+  the process pool, or lockstep-batched;
 * **deterministic vs. timing split** — metrics whose values depend on
   wall clocks live under the ``perf.`` prefix; everything else must be a
   pure function of the simulated work (run counts, hazard counts, CAN
@@ -24,6 +26,7 @@ No locks: each registry is owned by exactly one thread of one process
 happens through snapshot merges, not shared memory).
 """
 
+import math
 from bisect import bisect_left, bisect_right
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -116,9 +119,13 @@ class Histogram:
     last bound (Prometheus's ``+Inf`` bucket).  Recording is a C-level
     ``bisect`` plus two adds — cheap enough for sampled per-stage timing
     at full rate.
+
+    The sum is kept exact as non-overlapping partials (the algorithm
+    behind :func:`math.fsum`), so :attr:`sum` is the correctly rounded
+    total whatever the grouping of records and merges.
     """
 
-    __slots__ = ("name", "bounds", "counts", "sum", "count", "min", "max")
+    __slots__ = ("name", "bounds", "counts", "_partials", "count", "min", "max")
     kind = "histogram"
 
     def __init__(self, name: str, bounds: Sequence[float] = NS_BUCKETS):
@@ -127,14 +134,36 @@ class Histogram:
         if not self.bounds or list(self.bounds) != sorted(set(self.bounds)):
             raise ValueError(f"histogram bounds must be strictly increasing: {bounds}")
         self.counts: List[int] = [0] * (len(self.bounds) + 1)
-        self.sum = 0.0
+        self._partials: List[float] = []
         self.count = 0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
 
+    def _add(self, value: float) -> None:
+        partials = self._partials
+        kept = 0
+        for partial in partials:
+            if abs(value) < abs(partial):
+                value, partial = partial, value
+            high = value + partial
+            low = partial - (high - value)
+            if low:
+                partials[kept] = low
+                kept += 1
+            value = high
+        partials[kept:] = [value]
+
+    @property
+    def sum(self) -> float:
+        return math.fsum(self._partials)
+
     def record(self, value: float) -> None:
         self.counts[bisect_left(self.bounds, value)] += 1
-        self.sum += value
+        partials = self._partials
+        if type(value) is int and len(partials) == 1 and type(partials[0]) is int:
+            partials[0] += value  # nanosecond timings: integer sums are exact
+        else:
+            self._add(value)
         self.count += 1
         if self.min is None or value < self.min:
             self.min = value
@@ -173,7 +202,7 @@ class Histogram:
                     counts[index] += position - previous
                     previous = position
                 counts[len(self.bounds)] += count - previous
-                self.sum += int(ordered_array.sum())
+                self._add(int(ordered_array.sum()))
                 self.count += count
                 if self.min is None or low < self.min:
                     self.min = low
@@ -189,7 +218,12 @@ class Histogram:
             counts[index] += position - previous
             previous = position
         counts[len(self.bounds)] += len(ordered) - previous
-        self.sum += sum(ordered)
+        total = sum(ordered)
+        if isinstance(total, int):  # integer samples sum exactly
+            self._add(total)
+        else:
+            for value in ordered:
+                self._add(value)
         self.count += len(ordered)
         if self.min is None or ordered[0] < self.min:
             self.min = ordered[0]
@@ -224,7 +258,8 @@ class Histogram:
             )
         for index, count in enumerate(other.counts):
             self.counts[index] += count
-        self.sum += other.sum
+        for partial in other._partials:
+            self._add(partial)
         self.count += other.count
         if other.min is not None and (self.min is None or other.min < self.min):
             self.min = other.min
@@ -245,7 +280,7 @@ class Histogram:
     def from_dict(cls, name: str, payload: dict) -> "Histogram":
         histogram = cls(name, payload["bounds"])
         histogram.counts = [int(count) for count in payload["counts"]]
-        histogram.sum = float(payload["sum"])
+        histogram._partials = list(payload.get("partials") or [float(payload["sum"])])
         histogram.count = int(payload["count"])
         histogram.min = payload["min"]
         histogram.max = payload["max"]
@@ -383,7 +418,12 @@ class MetricsRegistry:
         return registry
 
     def __getstate__(self) -> dict:
-        return self.snapshot()
+        # The snapshot plus each histogram's exact partial sums, so a
+        # registry shipped from a pool worker merges exactly.
+        state = self.snapshot()
+        for name, data in state["histograms"].items():
+            data["partials"] = list(self._metrics[name]._partials)  # type: ignore[union-attr]
+        return state
 
     def __setstate__(self, state: dict) -> None:
         self._metrics = MetricsRegistry.from_snapshot(state)._metrics

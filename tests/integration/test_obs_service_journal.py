@@ -19,7 +19,7 @@ from repro.core.attack_types import AttackType
 from repro.injection.campaign import Campaign, CampaignConfig
 from repro.obs.journal import EventJournal, job_event_stream, read_journal, replay_jobs
 from repro.resilience.chaos import ChaosPolicy, FaultSpec
-from repro.resilience.supervisor import SupervisionPolicy, run_supervised_campaign
+from repro.resilience.supervisor import SupervisionPolicy, run_supervised_simulations
 from repro.service import CampaignJobSpec, CampaignService, RunCache
 
 EPOCH = "obs-journal-test"
@@ -206,8 +206,8 @@ class TestSupervisorJournal:
             state_dir=str(tmp_path / "chaos"),
             seed=7,
         )
-        outcome = run_supervised_campaign(
-            Campaign(_grid(repetitions=6, max_steps=100)),
+        outcome = run_supervised_simulations(
+            Campaign(_grid(repetitions=6, max_steps=100)).tasks(),
             policy=SupervisionPolicy(max_chunk_attempts=3, backoff_base=0.0),
             workers=2,
             chunk_size=2,
@@ -229,15 +229,15 @@ class TestSupervisorJournal:
         campaign = Campaign(_grid(repetitions=4, max_steps=100))
 
         journal = EventJournal(path)
-        run_supervised_campaign(
-            campaign,
+        run_supervised_simulations(
+            campaign.tasks(),
             workers=1,
             chunk_size=2,
             checkpoint_path=checkpoint,
             journal=journal,
         )
-        run_supervised_campaign(  # resumes: everything restored from disk
-            campaign,
+        run_supervised_simulations(  # resumes: everything restored from disk
+            campaign.tasks(),
             workers=1,
             chunk_size=2,
             checkpoint_path=checkpoint,

@@ -7,7 +7,7 @@ import os
 import pytest
 
 from repro.analysis.metrics import RunResult
-from repro.injection.executor import ParallelCampaignRunner, _chunked, run_simulations
+from repro.injection.executor import run_simulations
 from repro.resilience.checkpoint import (
     CAMPAIGN_CHECKPOINT_VERSION,
     CampaignCheckpoint,
@@ -16,6 +16,7 @@ from repro.resilience.checkpoint import (
     checkpoint_slug,
     fingerprint_strings,
 )
+from repro.resilience.supervisor import SupervisedExecutor, _chunked
 
 
 class TestChunked:
@@ -36,24 +37,35 @@ class TestChunked:
 
 
 class TestResolveChunkSize:
-    def _runner(self, workers, chunk_size=None):
-        return ParallelCampaignRunner(campaign=None, workers=workers, chunk_size=chunk_size)
+    def _executor(self, workers, chunk_size=None, batch_size=None):
+        return SupervisedExecutor(workers=workers, chunk_size=chunk_size, batch_size=batch_size)
 
     def test_explicit_chunk_size_wins(self):
-        assert self._runner(workers=4, chunk_size=7)._resolve_chunk_size(1000) == 7
+        assert self._executor(workers=4, chunk_size=7).resolve_chunk_size(1000) == 7
 
     def test_explicit_chunk_size_clamped_to_one(self):
-        assert self._runner(workers=4, chunk_size=0)._resolve_chunk_size(1000) == 1
-        assert self._runner(workers=4, chunk_size=-3)._resolve_chunk_size(1000) == 1
+        assert self._executor(workers=4, chunk_size=0).resolve_chunk_size(1000) == 1
+        assert self._executor(workers=4, chunk_size=-3).resolve_chunk_size(1000) == 1
 
     def test_default_targets_four_chunks_per_worker(self):
         # 1000 cells on 4 workers -> ceil(1000 / 16) = 63 cells per chunk.
-        assert self._runner(workers=4)._resolve_chunk_size(1000) == 63
+        assert self._executor(workers=4).resolve_chunk_size(1000) == 63
 
     def test_total_smaller_than_worker_fanout(self):
         # Never returns 0 even when the grid is tiny.
-        assert self._runner(workers=8)._resolve_chunk_size(1) == 1
-        assert self._runner(workers=8)._resolve_chunk_size(0) == 1
+        assert self._executor(workers=8).resolve_chunk_size(1) == 1
+        assert self._executor(workers=8).resolve_chunk_size(0) == 1
+
+    def test_in_process_batch_is_one_chunk(self):
+        # workers <= 1 with batch_size > 1: one chunk, one lockstep batch.
+        assert self._executor(workers=1, batch_size=24).resolve_chunk_size(1000) == 1000
+        assert self._executor(workers=None, batch_size=24).resolve_chunk_size(72) == 72
+        assert self._executor(workers=1, chunk_size=18, batch_size=24).resolve_chunk_size(72) == 18
+
+    def test_in_process_scalar_runs_keep_four_chunks(self):
+        # Scalar in-process runs gain nothing from one chunk: ceil(72 / 4).
+        assert self._executor(workers=1).resolve_chunk_size(72) == 18
+        assert self._executor(workers=1, batch_size=1).resolve_chunk_size(72) == 18
 
 
 def test_run_simulations_empty_task_list():

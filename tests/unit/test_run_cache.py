@@ -19,7 +19,8 @@ from repro.core.attack_types import AttackType
 from repro.core.strategies import ContextAwareStrategy, RandomStartStrategy
 from repro.injection.engine import SimulationConfig, run_simulation
 from repro.resilience.checkpoint import atomic_write_bytes, fsync_directory
-from repro.service.cache import RunCache, partition_tasks, run_tasks_cached
+from repro.injection.executor import run_simulations
+from repro.service.cache import RunCache, partition_tasks
 from repro.telemetry import Telemetry, TelemetryConfig
 
 EPOCH = "cache-test-epoch"
@@ -204,23 +205,27 @@ class TestConcurrency:
 
 
 class TestTaskHelpers:
-    def test_partition_and_cached_runner_round_trip(self, tmp_path):
+    def test_partition_and_cached_runner_round_trip(self, tmp_path, monkeypatch):
+        import repro.injection.engine as engine
+
         cache = RunCache(str(tmp_path), code_epoch=EPOCH)
-        tasks = [_task(seed=seed) for seed in (1, 2, 3)]
+        tasks = [_task(seed=seed) for seed in (3, 1, 2)]
         direct = [_result(config, strategy) for config, strategy in tasks]
 
-        calls = []
+        paid = []
+        simulate = engine.run_simulation
 
-        def runner(pending):
-            calls.append(len(pending))
-            return [_result(config, strategy) for config, strategy in pending]
+        def counting_run_simulation(config, *args, **kwargs):
+            paid.append(config.seed)
+            return simulate(config, *args, **kwargs)
 
-        cold = run_tasks_cached(tasks, cache, runner)
+        monkeypatch.setattr(engine, "run_simulation", counting_run_simulation)
+        cold = run_simulations(tasks, cache=cache)
         assert [r.to_dict() for r in cold] == [r.to_dict() for r in direct]
-        assert calls == [3]
-        warm = run_tasks_cached(tasks, cache, runner)
+        assert paid == [3, 1, 2]  # cold: every task paid, in task order
+        warm = run_simulations(tasks, cache=cache)
         assert [r.to_dict() for r in warm] == [r.to_dict() for r in direct]
-        assert calls == [3]  # nothing new simulated
+        assert paid == [3, 1, 2]  # warm: nothing new simulated
         cached, pending, keys = partition_tasks(tasks, cache)
         assert len(cached) == 3 and pending == [] and all(keys)
 

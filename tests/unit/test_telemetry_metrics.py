@@ -7,6 +7,7 @@ are pinned with hypothesis alongside the plain behavioural cases.
 """
 
 import json
+import math
 import pickle
 
 import pytest
@@ -153,6 +154,25 @@ class TestHistogram:
         assert a1.count == a2.count
         assert a1.min == a2.min and a1.max == a2.max
         assert a1.sum == pytest.approx(a2.sum)
+
+    def test_sum_is_exact_however_records_are_grouped(self):
+        # Plain float accumulation gives a different total per grouping
+        # here; chunked runs merge per chunk, so the sum must not.
+        values = [0.1, 0.2, 0.3, 1e16, -1e16, 0.7] * 5
+        whole = Histogram("d", (1.0,))
+        for value in values:
+            whole.record(value)
+        batched = Histogram("d", (1.0,))
+        batched.record_many(values)
+        assert whole.sum == batched.sum == math.fsum(values)
+        for size in (1, 2, 7):
+            merged = MetricsRegistry()
+            for start in range(0, len(values), size):
+                part = MetricsRegistry()
+                for value in values[start : start + size]:
+                    part.histogram("d", (1.0,)).record(value)
+                merged.merge(pickle.loads(pickle.dumps(part)))
+            assert merged.histogram("d", (1.0,)).sum == whole.sum
 
 
 class TestMetricsRegistry:
